@@ -184,8 +184,8 @@ inline double max_fold(const double* p, int n, double init) {
   return m;
 }
 
-/// The flow-pricing kernel of reprice_hop_column / score_batch's columnar
-/// cost assembly: max over y of (bytes/bw_fwd + lat) + (bytes/bw_bwd + lat).
+/// The flow-pricing kernel of reprice_hop_column's columnar cost assembly:
+/// max over y of (bytes/bw_fwd + lat) + (bytes/bw_bwd + lat).
 /// Each element keeps the scalar bracketing exactly (div_add twice, then one
 /// add); the max fold is order-free, so the wide fold + horizontal reduce is
 /// bit-identical to the full model's sequential scan. All inputs are

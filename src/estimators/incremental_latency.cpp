@@ -1056,20 +1056,6 @@ double IncrementalLatencyEvaluator::propose(const parallel::MappingMoveDesc& mv)
   return pending_cost_;
 }
 
-void IncrementalLatencyEvaluator::score_batch(const parallel::MappingMoveDesc* mvs, int count,
-                                              double* costs) {
-  assert(!pending_ && "score_batch() requires a commit() or rollback() first");
-  // Each candidate is priced by the O(touched) propose machinery and undone
-  // before the next, so every cost is measured against the same committed
-  // state — the shared shell (epoch stamping, dirty-list reuse, the SoA
-  // column scratch) stays hot across the whole block instead of being
-  // re-entered from the annealer per proposal.
-  for (int i = 0; i < count; ++i) {
-    costs[i] = propose(mvs[i]);
-    rollback();
-  }
-}
-
 void IncrementalLatencyEvaluator::commit() {
   assert(pending_ && "commit() without a pending propose()");
   cost_ = pending_cost_;

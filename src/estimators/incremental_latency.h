@@ -77,16 +77,6 @@ class IncrementalLatencyEvaluator {
   /// recomputing only the term-table entries the move dirtied.
   double propose(const parallel::MappingMoveDesc& mv);
 
-  /// Scores `count` candidate moves against the *committed* state, writing
-  /// each move's resulting total latency to `costs[i]`. Every cost is
-  /// bit-identical to what propose(mvs[i]) would return from the same
-  /// committed state (the batched annealer's acceptance decisions therefore
-  /// match a serial re-proposal exactly); the evaluator is left with no
-  /// pending proposal. last_dirty() afterwards reflects the final scored
-  /// move only — batched callers account dirty stats for the re-applied
-  /// winner instead.
-  void score_batch(const parallel::MappingMoveDesc* mvs, int count, double* costs);
-
   /// Accepts the pending move: the proposed mapping becomes committed state.
   void commit();
 

@@ -4,6 +4,12 @@
 
 #include "common/rng.h"
 
+// Loops start on 64-byte boundaries, as in mlp/matrix.cpp, so training
+// time does not depend on the size of unrelated code linked before them.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("align-loops=64")
+#endif
+
 namespace pipette::mlp {
 
 using common::Rng;
