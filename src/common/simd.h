@@ -1,4 +1,5 @@
-// Fixed-width double lane abstraction for the evaluator's hot kernels: an
+// Fixed-width double lane abstraction for the hot kernels (the SA
+// evaluator's folds, the MLP's matrix product and Adam update): an
 // SSE2 baseline (2 lanes, implied by x86-64), AVX2/AVX when compiled in
 // (4 lanes, -mavx2), and a scalar fallback elsewhere — selected at compile
 // time, with a runtime-dispatch hook (set_enabled) that forces the scalar
@@ -6,10 +7,14 @@
 //
 // Bit-identity contract (why the vector kernels below are safe to substitute
 // for their scalar originals):
-//   - IEEE-754 division, addition, min, and max are exact per element: a
-//     packed divpd computes the identical rounded quotient in every lane that
-//     divsd computes for that element, so element-wise expressions like
-//     a/b + c are bit-identical however many lanes evaluate at once.
+//   - IEEE-754 addition, subtraction, multiplication, division, square root,
+//     min, and max are exact per element: a packed divpd (or sqrtpd, mulpd,
+//     ...) computes the identical rounded result in every lane that divsd
+//     computes for that element, so element-wise expressions like a/b + c
+//     are bit-identical however many lanes evaluate at once. A separate
+//     mul and add stay two roundings: no build enables FMA (-mfma or a
+//     -march that implies it), so there is no fused instruction for the
+//     compiler to contract them into.
 //   - min/max are associative and commutative on the NaN-free data the
 //     evaluator folds (bandwidths, priced latencies), so regrouping a
 //     sequential fold into vector accumulators + a horizontal reduce picks
@@ -25,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <limits>
 
 #if defined(__AVX2__) || defined(__AVX__)
@@ -73,7 +79,10 @@ struct Lane {
   static Lane broadcast(double x) { return {_mm256_set1_pd(x)}; }
   void store(double* p) const { _mm256_storeu_pd(p, v); }
   friend Lane operator+(Lane a, Lane b) { return {_mm256_add_pd(a.v, b.v)}; }
+  friend Lane operator-(Lane a, Lane b) { return {_mm256_sub_pd(a.v, b.v)}; }
+  friend Lane operator*(Lane a, Lane b) { return {_mm256_mul_pd(a.v, b.v)}; }
   friend Lane operator/(Lane a, Lane b) { return {_mm256_div_pd(a.v, b.v)}; }
+  static Lane sqrt(Lane a) { return {_mm256_sqrt_pd(a.v)}; }
   static Lane min(Lane a, Lane b) { return {_mm256_min_pd(a.v, b.v)}; }
   static Lane max(Lane a, Lane b) { return {_mm256_max_pd(a.v, b.v)}; }
   static Lane cmpeq(Lane a, Lane b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ)}; }
@@ -99,7 +108,10 @@ struct Lane {
   static Lane broadcast(double x) { return {_mm_set1_pd(x)}; }
   void store(double* p) const { _mm_storeu_pd(p, v); }
   friend Lane operator+(Lane a, Lane b) { return {_mm_add_pd(a.v, b.v)}; }
+  friend Lane operator-(Lane a, Lane b) { return {_mm_sub_pd(a.v, b.v)}; }
+  friend Lane operator*(Lane a, Lane b) { return {_mm_mul_pd(a.v, b.v)}; }
   friend Lane operator/(Lane a, Lane b) { return {_mm_div_pd(a.v, b.v)}; }
+  static Lane sqrt(Lane a) { return {_mm_sqrt_pd(a.v)}; }
   static Lane min(Lane a, Lane b) { return {_mm_min_pd(a.v, b.v)}; }
   static Lane max(Lane a, Lane b) { return {_mm_max_pd(a.v, b.v)}; }
   static Lane cmpeq(Lane a, Lane b) { return {_mm_cmpeq_pd(a.v, b.v)}; }
@@ -115,7 +127,10 @@ struct Lane {
   static Lane broadcast(double x) { return {x}; }
   void store(double* p) const { *p = v; }
   friend Lane operator+(Lane a, Lane b) { return {a.v + b.v}; }
+  friend Lane operator-(Lane a, Lane b) { return {a.v - b.v}; }
+  friend Lane operator*(Lane a, Lane b) { return {a.v * b.v}; }
   friend Lane operator/(Lane a, Lane b) { return {a.v / b.v}; }
+  static Lane sqrt(Lane a) { return {std::sqrt(a.v)}; }
   static Lane min(Lane a, Lane b) { return {a.v < b.v ? a.v : b.v}; }
   static Lane max(Lane a, Lane b) { return {a.v > b.v ? a.v : b.v}; }
   static Lane cmpeq(Lane a, Lane b) { return {a.v == b.v ? 1.0 : 0.0}; }

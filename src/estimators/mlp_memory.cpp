@@ -145,11 +145,10 @@ MlpMemoryEstimator MlpMemoryEstimator::train_for_cluster(
   est_bytes.reserve(rows.size());
   act_bytes.reserve(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    est_bytes.push_back(std::exp2(reg.predict(rows[i])));
+    est_bytes.push_back(std::exp2(report.predictions[i]));
     act_bytes.push_back(std::exp2(targets[i]));
   }
   const double mape = common::mape_percent(est_bytes, act_bytes);
-  (void)report;
   return MlpMemoryEstimator(std::move(reg), opt.soft_margin, static_cast<int>(rows.size()), mape,
                             training_digest(spec, opt));
 }

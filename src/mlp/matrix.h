@@ -1,9 +1,14 @@
-// Row-major dense matrix, just big enough for the paper's 5-layer/200-hidden
-// memory-estimator MLP (Eq. 7). No BLAS dependency; the ikj loop below is
-// cache-friendly enough for matrices of this size.
+// Row-major dense matrix and the one matrix-product kernel behind the
+// paper's 5-layer/200-hidden memory-estimator MLP (Eq. 7). No BLAS
+// dependency. `gemm` serves the forward pass and both backward products:
+// its A operand is addressed through strides, so A and A^T of a row-major
+// matrix are the same call, and it computes every output with the textbook
+// dot product's IEEE operations in the textbook's order. Training results
+// are therefore bit-identical to the naive triple loop at any SIMD width
+// (tests/mlp_test.cpp pins golden parameter hashes).
 #pragma once
 
-#include <cassert>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -33,11 +38,19 @@ class Matrix {
   std::vector<double> d_;
 };
 
-/// C = A * B. Dimensions must agree.
-Matrix matmul(const Matrix& a, const Matrix& b);
-/// C = A * B^T (the common shape in the backward pass).
-Matrix matmul_bt(const Matrix& a, const Matrix& b);
-/// C = A^T * B.
-Matrix matmul_at(const Matrix& a, const Matrix& b);
+/// C = A * B, overwriting C. A is (m x k), element (i, p) read at
+/// a[i * a_row + p * a_col]; B is row-major (k x n) with leading dimension
+/// ldb; C is row-major (m x n) with leading dimension ldc.
+///
+/// Every C(i, j) is ((0 + A(i,0)*B(0,j)) + A(i,1)*B(1,j)) + ... over
+/// increasing p: one multiply and one add per term, never fused or
+/// regrouped. The SIMD path (common/simd.h, while enabled) vectorises over
+/// j and blocks rows, holding each output in a register for the whole p
+/// loop; the scalar path is the plain triple loop. Both give the same bits.
+/// Terms with an exact zero factor are added, not skipped; on finite data
+/// that is bit-identical to skipping them, because the running sum starts
+/// at +0 and so is never -0.
+void gemm(int m, int n, int k, const double* a, std::ptrdiff_t a_row, std::ptrdiff_t a_col,
+          const double* b, std::ptrdiff_t ldb, double* c, std::ptrdiff_t ldc);
 
 }  // namespace pipette::mlp

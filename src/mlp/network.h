@@ -3,6 +3,13 @@
 // optimizer. This is the function approximator behind the paper's memory
 // estimator: "five layers with 200 hidden sizes, trained for 50,000
 // iterations" (Eq. 7, §VI).
+//
+// Layouts: the forward pass runs feature-major (activations stored as
+// width x batch), so every layer is one gemm over the weights as stored,
+// vectorised over the batch; the backward pass runs batch-major, so its two
+// products read the weights as stored too. Only the batch-sized activations
+// cross between the two layouts, never the weights. Training reuses one
+// workspace, so a step allocates nothing once the batch size is fixed.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +41,14 @@ class Network {
   /// returns and set_parameters() expects.
   std::size_t num_parameters() const;
 
-  /// Batched forward: X is (n x input_dim), returns (n x output_dim).
+  /// Batched forward: X is (n x input_dim), returns (n x output_dim). Each
+  /// row's output is bit-identical whatever else is in the batch. Const and
+  /// free of shared scratch, so engine threads may call it concurrently.
   Matrix forward(const Matrix& x) const;
 
   /// Mean-squared-error loss over the batch and its gradient w.r.t. all
   /// parameters (stored internally for the next `adam_step`). Returns loss.
+  /// Not thread-safe: it works in the network's own training workspace.
   double loss_and_grad(const Matrix& x, const Matrix& y_target);
 
   /// Applies one Adam update using the gradients from the last
@@ -61,9 +71,18 @@ class Network {
     std::vector<double> mb, vb;
   };
 
+  // Reused by loss_and_grad; resized only when the batch size changes.
+  struct Workspace {
+    std::vector<double> xt;                 // input, feature-major (in x n)
+    std::vector<std::vector<double>> acts;  // layer outputs, feature-major (out x n)
+    std::vector<double> rows;               // one activation, batch-major (n x in)
+    std::vector<double> delta, next;        // dL/d(layer output), batch-major
+  };
+
   std::vector<int> sizes_;
   std::vector<Layer> layers_;
   std::int64_t adam_t_ = 0;
+  Workspace ws_;
 };
 
 }  // namespace pipette::mlp

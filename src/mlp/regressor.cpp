@@ -135,9 +135,12 @@ TrainReport Regressor::fit(const Matrix& x, const std::vector<double>& y, const 
   TrainReport rep;
   rep.final_mse = last_loss;
   rep.iters_run = opt.iters;
-  std::vector<double> pred(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) pred[static_cast<std::size_t>(i)] = predict(x.row(i));
-  rep.train_mape = common::mape_percent(pred, y);
+  // One batched pass over the already standardized rows: per row the same
+  // arithmetic as predict(), which standardizes with the same expression.
+  const Matrix out = net_.forward(xs);
+  rep.predictions.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) rep.predictions[static_cast<std::size_t>(i)] = out(i, 0) * y_std_ + y_mean_;
+  rep.train_mape = common::mape_percent(rep.predictions, y);
   return rep;
 }
 

@@ -26,6 +26,9 @@ struct TrainReport {
   double final_mse = 0.0;     ///< on standardized targets
   double train_mape = 0.0;    ///< percent, on de-standardized predictions
   int iters_run = 0;
+  /// The trained regressor's prediction for every training row, from one
+  /// batched forward pass; bit-identical to predict() on that row.
+  std::vector<double> predictions;
 };
 
 /// Per-column affine standardizer (x - mean) / std with std floored at 1e-12.

@@ -1,54 +1,191 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "mlp/matrix.h"
 #include "mlp/network.h"
 #include "mlp/regressor.h"
 
 using namespace pipette::mlp;
 
-TEST(Matrix, MatmulKnownValues) {
-  Matrix a(2, 3), b(3, 2);
-  // a = [[1,2,3],[4,5,6]], b = [[7,8],[9,10],[11,12]]
-  int v = 1;
-  for (int i = 0; i < 2; ++i)
-    for (int j = 0; j < 3; ++j) a(i, j) = v++;
-  v = 7;
-  for (int i = 0; i < 3; ++i)
-    for (int j = 0; j < 2; ++j) b(i, j) = v++;
-  const Matrix c = matmul(a, b);
-  EXPECT_DOUBLE_EQ(c(0, 0), 58);
-  EXPECT_DOUBLE_EQ(c(0, 1), 64);
-  EXPECT_DOUBLE_EQ(c(1, 0), 139);
-  EXPECT_DOUBLE_EQ(c(1, 1), 154);
+namespace {
+
+// Bit patterns, so -0.0 != +0.0 and the comparisons below are exact.
+std::vector<std::uint64_t> bits(std::span<const double> v) {
+  std::vector<std::uint64_t> out;
+  out.reserve(v.size());
+  for (const double d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
 }
 
-TEST(Matrix, TransposedVariantsAgreeWithMatmul) {
+// FNV-1a over the bytes of every double, little-endian.
+std::uint64_t fnv1a(const std::vector<double>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double d : v) {
+    const auto x = std::bit_cast<std::uint64_t>(d);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+// Restores the SIMD kill-switch however a test exits.
+struct SimdGuard {
+  explicit SimdGuard(bool on) { pipette::common::simd::set_enabled(on); }
+  ~SimdGuard() { pipette::common::simd::set_enabled(true); }
+};
+
+// The golden dataset: 256 rows of 14 features, with exact zeros in it.
+struct Dataset {
+  Matrix x;
+  std::vector<double> y;
+};
+Dataset golden_dataset() {
+  pipette::common::Rng rng(42);
+  Dataset d{Matrix(256, 14), std::vector<double>(256)};
+  for (int i = 0; i < 256; ++i) {
+    double t = 20.0;
+    for (int j = 0; j < 14; ++j) {
+      d.x(i, j) = (i + j) % 7 == 0 ? 0.0 : rng.uniform(-1.0, 3.0);
+      t += 0.25 * (j % 5) * d.x(i, j);
+    }
+    d.y[static_cast<std::size_t>(i)] = t + d.x(i, 0) * d.x(i, 1);
+  }
+  return d;
+}
+
+// The golden training run: the benches' {14,128,128,1} regressor, 300 steps.
+TrainReport train_golden(Regressor& reg) {
+  const Dataset d = golden_dataset();
+  TrainOptions opt;
+  opt.iters = 300;
+  return reg.fit(d.x, d.y, opt);
+}
+
+std::vector<double> golden_regressor_parameters() {
+  Regressor reg(14, {128, 128}, 5);
+  train_golden(reg);
+  return reg.network().parameters();
+}
+
+// 20 steps of the paper's five-layer, 200-hidden net (§VI) on one batch.
+std::vector<double> golden_paper_net_parameters() {
+  pipette::common::Rng rng(7);
+  Network net({14, 200, 200, 200, 200, 1}, 1);
+  Matrix x(32, 14), y(32, 1);
+  for (auto& v : x.data()) v = rng.normal();
+  for (auto& v : y.data()) v = rng.normal();
+  AdamOptions adam;
+  for (int s = 0; s < 20; ++s) {
+    net.loss_and_grad(x, y);
+    net.adam_step(adam);
+  }
+  return net.parameters();
+}
+
+}  // namespace
+
+TEST(Gemm, MatchesNaiveTripleLoopBitForBit) {
   pipette::common::Rng rng(3);
-  Matrix a(4, 5), b(6, 5), c(4, 6);
-  for (auto& x : a.data()) x = rng.normal();
-  for (auto& x : b.data()) x = rng.normal();
-  for (auto& x : c.data()) x = rng.normal();
+  struct Shape {
+    int m, n, k;
+  };
+  // Odd sizes exercise every tile and tail of the kernel; n == 1 is
+  // single-row inference.
+  for (const Shape sh : {Shape{1, 1, 1}, Shape{7, 1, 14}, Shape{5, 3, 9}, Shape{2, 8, 4},
+                         Shape{9, 19, 33}, Shape{32, 14, 128}, Shape{128, 32, 14}}) {
+    Matrix a(sh.m, sh.k), b(sh.k, sh.n);
+    for (auto& v : a.data()) v = rng.normal();
+    for (auto& v : b.data()) v = rng.normal();
+    // Exact zeros: a whole row of A (a clamped ReLU unit) and scattered ones.
+    for (int p = 0; p < sh.k; ++p) a(sh.m - 1, p) = 0.0;
+    for (int i = 0; i < sh.m; i += 2) a(i, i % sh.k) = 0.0;
+    for (int j = 0; j < sh.n; j += 3) b(j % sh.k, j) = 0.0;
 
-  // a * b^T via explicit transpose.
-  Matrix bt(5, 6);
-  for (int i = 0; i < 6; ++i)
-    for (int j = 0; j < 5; ++j) bt(j, i) = b(i, j);
-  const Matrix r1 = matmul(a, bt);
-  const Matrix r2 = matmul_bt(a, b);
-  for (int i = 0; i < 4; ++i)
-    for (int j = 0; j < 6; ++j) EXPECT_NEAR(r1(i, j), r2(i, j), 1e-12);
+    Matrix naive(sh.m, sh.n), skipping(sh.m, sh.n);
+    for (int i = 0; i < sh.m; ++i) {
+      for (int j = 0; j < sh.n; ++j) {
+        double s = 0.0;
+        for (int p = 0; p < sh.k; ++p) s += a(i, p) * b(p, j);
+        naive(i, j) = s;
+      }
+    }
+    // The ikj form that skips zero factors of A adds the same terms minus
+    // zeros, which cannot change a sum that starts at +0.
+    for (int i = 0; i < sh.m; ++i) {
+      for (int p = 0; p < sh.k; ++p) {
+        if (a(i, p) == 0.0) continue;
+        for (int j = 0; j < sh.n; ++j) skipping(i, j) += a(i, p) * b(p, j);
+      }
+    }
+    ASSERT_EQ(bits(naive.data()), bits(skipping.data()));
 
-  // a^T * c via explicit transpose.
-  Matrix at(5, 4);
-  for (int i = 0; i < 4; ++i)
-    for (int j = 0; j < 5; ++j) at(j, i) = a(i, j);
-  const Matrix r3 = matmul(at, c);
-  const Matrix r4 = matmul_at(a, c);
-  for (int i = 0; i < 5; ++i)
-    for (int j = 0; j < 6; ++j) EXPECT_NEAR(r3(i, j), r4(i, j), 1e-12);
+    // A^T stored row-major: the same product through transposed strides.
+    Matrix at(sh.k, sh.m);
+    for (int i = 0; i < sh.m; ++i)
+      for (int p = 0; p < sh.k; ++p) at(p, i) = a(i, p);
+    for (const bool simd : {true, false}) {
+      const SimdGuard guard(simd);
+      Matrix c(sh.m, sh.n, -1.0), ct(sh.m, sh.n, -1.0);
+      gemm(sh.m, sh.n, sh.k, a.data().data(), sh.k, 1, b.data().data(), sh.n, c.data().data(), sh.n);
+      gemm(sh.m, sh.n, sh.k, at.data().data(), 1, sh.m, b.data().data(), sh.n, ct.data().data(), sh.n);
+      EXPECT_EQ(bits(c.data()), bits(naive.data())) << sh.m << "x" << sh.n << "x" << sh.k << " simd " << simd;
+      EXPECT_EQ(bits(ct.data()), bits(naive.data())) << sh.m << "x" << sh.n << "x" << sh.k << " simd " << simd;
+    }
+  }
+}
+
+// Golden hashes of the trained parameters, captured from the original
+// kernels (serial dot products, zero-skipping ikj products, scalar Adam).
+// Any reordered sum, fused multiply-add or changed rounding breaks them.
+TEST(Network, TrainingReproducesGoldenParameters) {
+  EXPECT_EQ(fnv1a(golden_regressor_parameters()), 0x47a5ad8282b222e0ull);
+  EXPECT_EQ(fnv1a(golden_paper_net_parameters()), 0xc41367a87cb20f7aull);
+}
+
+TEST(Network, TrainingIsBitIdenticalWithSimdDisabled) {
+  const auto reg_on = golden_regressor_parameters();
+  const auto net_on = golden_paper_net_parameters();
+  const SimdGuard guard(false);
+  EXPECT_EQ(bits(golden_regressor_parameters()), bits(reg_on));
+  EXPECT_EQ(bits(golden_paper_net_parameters()), bits(net_on));
+}
+
+TEST(Network, BatchedForwardMatchesPerRowBitForBit) {
+  pipette::common::Rng rng(13);
+  const Network net({14, 40, 40, 1}, 2);
+  // More rows than one forward chunk, and a row of exact zeros.
+  Matrix x(150, 14);
+  for (auto& v : x.data()) v = rng.normal();
+  for (int j = 0; j < 14; ++j) x(77, j) = 0.0;
+  const Matrix batched = net.forward(x);
+  for (int i = 0; i < x.rows(); ++i) {
+    Matrix one(1, 14);
+    for (int j = 0; j < 14; ++j) one(0, j) = x(i, j);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(net.forward(one)(0, 0)),
+              std::bit_cast<std::uint64_t>(batched(i, 0)))
+        << "row " << i;
+  }
+}
+
+TEST(Regressor, ReportedPredictionsMatchPredictBitForBit) {
+  Regressor reg(14, {128, 128}, 5);
+  const TrainReport rep = train_golden(reg);
+  const Dataset d = golden_dataset();
+  ASSERT_EQ(rep.predictions.size(), d.y.size());
+  for (int i = 0; i < d.x.rows(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reg.predict(d.x.row(i))),
+              std::bit_cast<std::uint64_t>(rep.predictions[static_cast<std::size_t>(i)]))
+        << "row " << i;
+  }
 }
 
 TEST(Network, ForwardShapes) {
